@@ -786,19 +786,16 @@ impl Operator {
             let (head, tail) = self.ring.slices(window.start, assigned);
             self.matcher.matches_ring(window.meta.id, head, tail)
         } else {
-            // Walk the shared slice once, merging out the (sorted) dropped
-            // positions; positions are derived from the slot offset, so they
-            // are identical to what per-window storage would have recorded.
+            // Reference only the kept runs of the shared slice, so the close
+            // costs O(kept), not O(assigned), however much was shed;
+            // positions are derived from the slot offset, so they are
+            // identical to what per-window storage would have recorded.
+            let ring = &self.ring;
             let mut refs = Vec::with_capacity(assigned - window.dropped.len());
-            let mut drops = window.dropped.iter();
-            let mut next_drop = drops.next();
-            for (position, event) in self.ring.range(window.start, assigned).enumerate() {
-                if next_drop == Some(position as u32) {
-                    next_drop = drops.next();
-                    continue;
-                }
-                refs.push(EntryRef { position, event });
-            }
+            window.dropped.for_each_kept_run(assigned, |run| {
+                let events = ring.range(window.start + run.start as SlotIndex, run.len());
+                refs.extend(run.zip(events).map(|(position, event)| EntryRef { position, event }));
+            });
             self.matcher.matches_refs(window.meta.id, &refs)
         };
         self.stats.complex_events += outcome.complex_events.len() as u64;

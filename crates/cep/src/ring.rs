@@ -13,8 +13,8 @@
 //! one window and kept in another. The ring therefore stores every assigned
 //! event and each window records *its own* drops in a [`DropSet`] — an
 //! adaptive set of dropped positions (sorted list under light shedding, one
-//! bit per position under heavy shedding) that is merged away when the
-//! window closes.
+//! bit per position under heavy shedding) whose kept runs are what the
+//! matcher sees when the window closes.
 //!
 //! The pruning invariant: the ring retains exactly the slots at or above the
 //! oldest open window's start (everything below can no longer be referenced,
@@ -28,6 +28,7 @@
 use espice_events::Event;
 use std::collections::vec_deque;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Global index of a slot in an operator's [`EventRing`]. Slot numbers are
 /// assigned once per appended event and never reused, so they stay valid
@@ -166,9 +167,10 @@ enum Repr {
 /// The positions a single window dropped, with an adaptive representation.
 ///
 /// Positions are recorded in arrival order, so the initial sorted-list
-/// representation is sorted by construction and closing a window is a
-/// linear merge of the ring slice with this list; it costs nothing when
-/// shedding is off — the common case — and iterates in O(dropped). Under
+/// representation is sorted by construction; closing a window reads the
+/// *kept runs* between the drops
+/// ([`for_each_kept_run`](DropSet::for_each_kept_run)), so it costs nothing
+/// when shedding is off — the common case — and O(dropped) otherwise. Under
 /// heavy shedding one `u32` per drop loses to one *bit* per assigned
 /// position: past a minimum drop count (64) **and** the measured ~25%
 /// drop-ratio crossover (see BENCH_overlap.json) the set converts itself
@@ -371,6 +373,57 @@ impl DropSet {
     /// Whether nothing was dropped.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Calls `run` with every maximal run of **kept** positions among
+    /// `0..len`, in increasing order (drops at or past `len` are ignored).
+    ///
+    /// This is what a window close walks: the sorted list is crossed gap by
+    /// gap and the bitset word by word, so the cost is O(kept runs + drops)
+    /// resp. O(kept runs + words) — independent of how many positions the
+    /// drops cover.
+    pub fn for_each_kept_run(&self, len: usize, mut run: impl FnMut(Range<usize>)) {
+        // End of the last drop seen, i.e. where the next kept run starts.
+        let mut next = 0usize;
+        match &self.repr {
+            Repr::Sorted(positions) => {
+                for &dropped in positions {
+                    let dropped = (dropped as usize).min(len);
+                    if dropped > next {
+                        run(next..dropped);
+                    }
+                    next = dropped + 1;
+                    if next >= len {
+                        return;
+                    }
+                }
+            }
+            Repr::Bitset { words, .. } => {
+                for (index, &word) in words.iter().enumerate().take(len.div_ceil(64)) {
+                    // Dropped runs of this word, low to high; a kept run
+                    // that spans words stays open in `next` until a drop
+                    // (or `len`) ends it.
+                    let mut dropped = word;
+                    while dropped != 0 {
+                        let first = dropped.trailing_zeros();
+                        let run_len = (dropped >> first).trailing_ones();
+                        let start = (index * 64 + first as usize).min(len);
+                        if start > next {
+                            run(next..start);
+                        }
+                        next = start + run_len as usize;
+                        if next >= len {
+                            return;
+                        }
+                        let end = first + run_len;
+                        dropped = if end < 64 { dropped & (!0u64 << end) } else { 0 };
+                    }
+                }
+            }
+        }
+        if next < len {
+            run(next..len);
+        }
     }
 
     /// The dropped positions in increasing order (either representation
@@ -646,6 +699,110 @@ mod tests {
         assert!(drops.contains(0));
         assert!(!drops.contains(199));
         assert_eq!(drops.iter().collect::<Vec<_>>(), vec![0, 200]);
+    }
+
+    /// The kept positions as the close path read them before kept runs: walk
+    /// every assigned position, merging out the sorted drops.
+    fn merge_walk(drops: &DropSet, len: usize) -> Vec<usize> {
+        let mut dropped = drops.iter().peekable();
+        (0..len).filter(|&position| dropped.next_if_eq(&(position as u32)).is_none()).collect()
+    }
+
+    /// The kept runs of `drops` over `0..len`, checked to be non-empty,
+    /// ascending, maximal and inside `0..len`.
+    fn kept_runs(drops: &DropSet, len: usize) -> Vec<Range<usize>> {
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        drops.for_each_kept_run(len, |run| {
+            assert!(run.start < run.end && run.end <= len, "bad run {run:?} of {len}");
+            assert!(runs.last().is_none_or(|last| last.end < run.start), "{run:?} not maximal");
+            runs.push(run);
+        });
+        runs
+    }
+
+    fn assert_kept_runs_match_merge_walk(drops: &DropSet, len: usize) {
+        let flat: Vec<usize> = kept_runs(drops, len).into_iter().flatten().collect();
+        assert_eq!(flat, merge_walk(drops, len), "len {len}, bitset {}", drops.is_bitset());
+    }
+
+    #[test]
+    fn kept_runs_are_the_gaps_between_drops() {
+        for mut drops in [DropSet::pinned_sorted(), DropSet::pinned_bitset()] {
+            assert_eq!(kept_runs(&drops, 0), vec![]);
+            assert_eq!(kept_runs(&drops, 5), vec![0..5]);
+            // Drop runs that start, cross and end on word boundaries.
+            for (start, len) in [(0, 2), (5, 1), (60, 8), (128, 64), (200, 56)] {
+                drops.push_run(start, len);
+            }
+            assert_eq!(kept_runs(&drops, 300), vec![2..5, 6..60, 68..128, 192..200, 256..300]);
+            // `len` below, at and just above the highest drop (255), inside
+            // a dropped run and in words the bitset never allocated.
+            assert_eq!(kept_runs(&drops, 1), vec![]);
+            assert_eq!(kept_runs(&drops, 64), vec![2..5, 6..60]);
+            assert_eq!(kept_runs(&drops, 255), vec![2..5, 6..60, 68..128, 192..200]);
+            assert_eq!(kept_runs(&drops, 256), vec![2..5, 6..60, 68..128, 192..200]);
+            assert_eq!(kept_runs(&drops, 257), vec![2..5, 6..60, 68..128, 192..200, 256..257]);
+            assert_eq!(kept_runs(&drops, 1000).last(), Some(&(256..1000)));
+            for len in 0..=320 {
+                assert_kept_runs_match_merge_walk(&drops, len);
+            }
+        }
+    }
+
+    #[test]
+    fn kept_runs_hold_across_the_adaptive_conversion_and_retro_inserts() {
+        let mut drops = DropSet::new();
+        let mut converted_at = None;
+        // Every third position: dense enough to convert once 64 are in.
+        for position in (0..600).step_by(3) {
+            drops.push(position);
+            assert_kept_runs_match_merge_walk(&drops, position + 2);
+            if drops.is_bitset() && converted_at.is_none() {
+                converted_at = Some(drops.len());
+            }
+        }
+        assert_eq!(converted_at, Some(BITSET_MIN_DROPS));
+        // pSPICE retro-drops land anywhere, already-dropped positions and
+        // words past the last one included.
+        for mut drops in [DropSet::pinned_sorted(), drops] {
+            drops.push_run(610, 5);
+            for position in [700, 1, 612, 64, 2, 699, 63, 1] {
+                drops.insert(position);
+                for len in [0, 1, 3, 64, 65, 600, 700, 701, 900] {
+                    assert_kept_runs_match_merge_walk(&drops, len);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Kept runs equal the merge walk for any drop pattern, recorded by
+        /// `push`, `push_run` and `insert`, in every representation, for
+        /// `len` anywhere around the drops.
+        #[test]
+        fn kept_runs_equal_the_merge_walk(
+            gaps in proptest::collection::vec((0usize..70, 1usize..70), 0..40),
+            retro in proptest::collection::vec(0usize..3000, 0..6),
+            len in 0usize..3200,
+        ) {
+            for mut drops in [DropSet::new(), DropSet::pinned_sorted(), DropSet::pinned_bitset()] {
+                let mut next = 0;
+                for &(gap, run) in &gaps {
+                    if run == 1 {
+                        drops.push(next + gap);
+                    } else {
+                        drops.push_run(next + gap, run);
+                    }
+                    next += gap + run + 1;
+                }
+                for &position in &retro {
+                    drops.insert(position);
+                }
+                for len in [len, next.saturating_sub(1), next, next + 1] {
+                    assert_kept_runs_match_merge_walk(&drops, len);
+                }
+            }
+        }
     }
 
     #[test]

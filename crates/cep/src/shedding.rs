@@ -157,14 +157,23 @@ pub trait WindowEventDecider {
         events: &[Event],
         drops: &mut DropSet,
     ) -> usize {
+        // Drops are recorded as maximal runs: one `push_run` per run instead
+        // of one `push` per drop.
         let mut dropped = 0;
+        let mut run_start = start_position;
         for (offset, event) in events.iter().enumerate() {
-            if let Decision::Drop = self.decide(meta, start_position + offset, event) {
-                drops.push(start_position + offset);
-                dropped += 1;
+            let position = start_position + offset;
+            if self.decide(meta, position, event).is_keep() {
+                if position > run_start {
+                    drops.push_run(run_start, position - run_start);
+                    dropped += position - run_start;
+                }
+                run_start = position + 1;
             }
         }
-        dropped
+        let end = start_position + events.len();
+        drops.push_run(run_start, end - run_start);
+        dropped + (end - run_start)
     }
 
     /// Notifies the decider that a window has closed with `size` events
@@ -484,6 +493,23 @@ mod tests {
         let dropped = d.decide_span(&meta(), 3, &events, &mut drops);
         assert_eq!(dropped, 3);
         assert_eq!(drops.iter().collect::<Vec<_>>(), vec![3, 5, 7]);
+        // Runs of consecutive drops — one that the span's end cuts short
+        // included — are recorded whole and in order.
+        struct KeepEveryFourth;
+        impl WindowEventDecider for KeepEveryFourth {
+            fn decide(&mut self, _meta: &WindowMeta, position: usize, _event: &Event) -> Decision {
+                if position.is_multiple_of(4) {
+                    Decision::Keep
+                } else {
+                    Decision::Drop
+                }
+            }
+        }
+        let mut runs = DropSet::new();
+        assert_eq!(KeepEveryFourth.decide_span(&meta(), 3, &events, &mut runs), 4);
+        assert_eq!(runs.iter().collect::<Vec<_>>(), vec![3, 5, 6, 7]);
+        assert_eq!(KeepEveryFourth.decide_span(&meta(), 9, &events[..1], &mut runs), 1);
+        assert_eq!(runs.iter().collect::<Vec<_>>(), vec![3, 5, 6, 7, 9]);
         // Boxed deciders forward the override-able span hook.
         let mut boxed: Box<dyn WindowEventDecider + Send> = Box::new(DropOdd);
         let mut boxed_drops = DropSet::new();

@@ -67,6 +67,34 @@ impl Cdt {
         Self::accumulate(occurrences)
     }
 
+    /// The `CDT`s of `partitions` equally sized window partitions over `ut`
+    /// (a trained table or one a family backend derived from it): partition
+    /// `p` covers the bins `p·B/ρ .. (p+1)·B/ρ`, the split
+    /// [`UtilityModel::partition_of`](crate::UtilityModel::partition_of)
+    /// inverts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions` is 0.
+    pub(crate) fn partitions(
+        ut: &UtilityTable,
+        shares: &PositionShares,
+        partitions: usize,
+    ) -> Vec<Cdt> {
+        assert!(partitions >= 1, "need at least one partition");
+        let bins = ut.bins();
+        (0..partitions)
+            .map(|p| {
+                // With more partitions than bins some partitions own no bin at
+                // all; their (empty) CDT is never consulted because
+                // `partition_of` only maps to partitions that own bins.
+                let start = p * bins / partitions;
+                let end = (((p + 1) * bins / partitions).min(bins)).max(start);
+                Cdt::from_model_range(ut, shares, start..end)
+            })
+            .collect()
+    }
+
     /// Builds a `CDT` directly from `(utility, occurrences)` pairs. Mostly
     /// useful for tests and for reproducing the paper's running example
     /// (Figure 2).

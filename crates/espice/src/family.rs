@@ -22,20 +22,20 @@
 //!   exceeds its budget.
 //!
 //! hSPICE and gSPICE both materialise a **derived** [`UtilityTable`] once
-//! per (re)construction and then run the exact eSPICE machinery over it —
-//! partition CDTs, thresholds, boundary thinning and the compiled
-//! [`CompiledVerdicts`] span kernel — so neither pays a bespoke per-event
-//! stack: after the first contact per (type, window size) every verdict is
-//! one shift-and-mask load.
+//! per (re)construction and hand it to an [`EspiceShedder`], which runs the
+//! one copy of the eSPICE machinery over it — partition CDTs, thresholds,
+//! boundary thinning and the compiled span kernel — so neither pays a
+//! bespoke per-event stack: after the first contact per (type, window size)
+//! every verdict is one shift-and-mask load. Position scaling, bin mapping
+//! and partitioning still come from the shared model's config, so derived
+//! tables stay aligned with the trained one.
 //!
 //! [`SharedUtilityStats`] is what makes N queries over one stream cheap:
 //! the trained [`UtilityModel`] lives once behind an `Arc` and every
 //! family shedder derives its view from the shared statistics instead of
 //! holding a redundant copy.
 
-use crate::compiled::{CompiledVerdicts, Verdict};
-use crate::shedder::{boundary_seed, partition_thresholds, ActiveShedding, WindowKey};
-use crate::{Cdt, PositionShares, ShedPlan, ShedderStats, UtilityModel, UtilityTable};
+use crate::{EspiceShedder, ShedPlan, ShedderStats, UtilityModel, UtilityTable};
 use espice_cep::{BatchRequest, Decision, DropSet, Pattern, WindowEventDecider, WindowMeta};
 use espice_events::{Event, EventType};
 use std::sync::Arc;
@@ -85,257 +85,6 @@ impl SharedUtilityStats {
     /// one model.
     pub fn handles(this: &Self) -> usize {
         Arc::strong_count(&this.model)
-    }
-}
-
-/// The bin ranges of `partitions` equal window partitions over a derived
-/// table — the same split [`UtilityModel::cdt_partitions`] uses, so
-/// [`UtilityModel::partition_of`] (which depends only on the model config)
-/// stays the exact inverse for derived tables too.
-fn derived_cdt_partitions(
-    table: &UtilityTable,
-    shares: &PositionShares,
-    partitions: usize,
-) -> Vec<Cdt> {
-    let bins = table.bins();
-    (0..partitions)
-        .map(|p| {
-            let start = p * bins / partitions;
-            let end = (((p + 1) * bins / partitions).min(bins)).max(start);
-            Cdt::from_model_range(table, shares, start..end)
-        })
-        .collect()
-}
-
-/// The shared table-compiled core of hSPICE and gSPICE: eSPICE's decision
-/// machinery (thresholds, boundary thinning, compiled span kernel) driven
-/// by a *derived* utility table instead of the trained one. Position
-/// scaling, bin mapping and partitioning still come from the shared
-/// model's config, so derived tables stay aligned with the trained one.
-#[derive(Debug, Clone)]
-pub(crate) struct TableShedder {
-    shared: SharedUtilityStats,
-    /// The backend's derived utility table (same bins as the shared model).
-    table: UtilityTable,
-    active: Option<ActiveShedding>,
-    last_plan: Option<ShedPlan>,
-    compiled: CompiledVerdicts,
-    stats: ShedderStats,
-}
-
-impl TableShedder {
-    fn new(shared: SharedUtilityStats, table: UtilityTable) -> Self {
-        debug_assert_eq!(table.bins(), shared.model().utility_table().bins());
-        TableShedder {
-            shared,
-            table,
-            active: None,
-            last_plan: None,
-            compiled: CompiledVerdicts::new(),
-            stats: ShedderStats::default(),
-        }
-    }
-
-    fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
-
-    fn stats(&self) -> &ShedderStats {
-        &self.stats
-    }
-
-    fn thresholds(&self) -> Vec<Option<u8>> {
-        self.active
-            .as_ref()
-            .map(|a| a.per_partition.iter().map(|p| p.threshold).collect())
-            .unwrap_or_default()
-    }
-
-    fn apply(&mut self, plan: ShedPlan) {
-        if !plan.active || plan.events_to_drop <= 0.0 {
-            self.deactivate();
-            return;
-        }
-        self.last_plan = Some(plan);
-        self.stats.plans_applied += 1;
-        self.compiled.invalidate();
-        let partitions = plan.partitions.max(1);
-        let cdts =
-            derived_cdt_partitions(&self.table, self.shared.model().position_shares(), partitions);
-        let per_partition = partition_thresholds(&cdts, plan.events_to_drop, plan.partition_size);
-        // Same accumulator-preservation rule as `EspiceShedder::apply`: a
-        // re-plan with unchanged partition count keeps each open window's
-        // boundary-thinning phase.
-        let accumulators = match self.active.take() {
-            Some(previous) if previous.partitions == partitions => previous.accumulators,
-            _ => Vec::new(),
-        };
-        self.active = Some(ActiveShedding { partitions, per_partition, accumulators });
-    }
-
-    fn deactivate(&mut self) {
-        self.active = None;
-        self.compiled.invalidate();
-    }
-}
-
-impl WindowEventDecider for TableShedder {
-    fn decide(&mut self, meta: &WindowMeta, position: usize, event: &Event) -> Decision {
-        self.stats.decisions += 1;
-        let Some(active) = self.active.as_mut() else {
-            return Decision::Keep;
-        };
-        let model = self.shared.model();
-        let window_size = meta.predicted_size.max(1);
-        let utility =
-            model.utility_in_row(self.table.row(event.event_type()), position, window_size);
-        let partition = model.partition_of(position, window_size, active.partitions);
-        let part = &active.per_partition[partition];
-        let drop = part.classify(utility).unwrap_or_else(|| {
-            let accumulators = ActiveShedding::accumulators_for(
-                &mut active.accumulators,
-                active.partitions,
-                (meta.query, meta.id),
-            );
-            part.thin_boundary(&mut accumulators[partition])
-        });
-        if drop {
-            self.stats.drops += 1;
-            Decision::Drop
-        } else {
-            Decision::Keep
-        }
-    }
-
-    fn decide_batch(
-        &mut self,
-        event: &Event,
-        requests: &[BatchRequest],
-        decisions: &mut Vec<Decision>,
-    ) {
-        decisions.clear();
-        self.stats.decisions += requests.len() as u64;
-        let Some(active) = self.active.as_mut() else {
-            decisions.resize(requests.len(), Decision::Keep);
-            return;
-        };
-        decisions.reserve(requests.len());
-        let model = self.shared.model();
-        let partitions = active.partitions;
-        let row = self.table.row(event.event_type());
-        let mut drops = 0u64;
-        for request in requests {
-            let window_size = request.meta.predicted_size.max(1);
-            let utility = model.utility_in_row(row, request.position, window_size);
-            let partition = model.partition_of(request.position, window_size, partitions);
-            let part = &active.per_partition[partition];
-            let drop = part.classify(utility).unwrap_or_else(|| {
-                let accumulators = ActiveShedding::accumulators_for(
-                    &mut active.accumulators,
-                    partitions,
-                    (request.meta.query, request.meta.id),
-                );
-                part.thin_boundary(&mut accumulators[partition])
-            });
-            if drop {
-                drops += 1;
-                decisions.push(Decision::Drop);
-            } else {
-                decisions.push(Decision::Keep);
-            }
-        }
-        self.stats.drops += drops;
-    }
-
-    /// Span kernel over the derived table: identical walk to
-    /// [`EspiceShedder::decide_span`](crate::EspiceShedder), only the
-    /// utility source differs — which is exactly what makes the family
-    /// backends inherit the compiled path "for free".
-    fn decide_span(
-        &mut self,
-        meta: &WindowMeta,
-        start_position: usize,
-        events: &[Event],
-        drops: &mut DropSet,
-    ) -> usize {
-        let TableShedder { shared, table, active, compiled, stats, .. } = self;
-        let model = shared.model();
-        stats.decisions += events.len() as u64;
-        let Some(active) = active.as_mut() else {
-            return 0;
-        };
-        let window_size = meta.predicted_size.max(1);
-        let partitions = active.partitions;
-        let per_partition = &active.per_partition;
-        let accumulators = &mut active.accumulators;
-        let verdicts = compiled.table_for(window_size, table.num_types());
-        let key: WindowKey = (meta.query, meta.id);
-        let mut accumulator_index: Option<usize> = None;
-        let mut dropped = 0usize;
-        let mut run_start = 0usize;
-        let mut run_len = 0usize;
-        for (offset, event) in events.iter().enumerate() {
-            let position = start_position + offset;
-            let verdict = verdicts.verdict(event.event_type(), position, |entry| {
-                let utility =
-                    model.utility_in_row(table.row(event.event_type()), entry, window_size);
-                let partition = model.partition_of(entry, window_size, partitions);
-                match per_partition[partition].classify(utility) {
-                    Some(true) => Verdict::Drop,
-                    Some(false) => Verdict::Keep,
-                    None => Verdict::Boundary,
-                }
-            });
-            let drop = match verdict {
-                Verdict::Keep => false,
-                Verdict::Drop => true,
-                Verdict::Boundary => {
-                    let index = match accumulator_index {
-                        Some(index) => index,
-                        None => {
-                            let index = match accumulators
-                                .iter()
-                                .position(|(window, _)| *window == key)
-                            {
-                                Some(index) => index,
-                                None => {
-                                    accumulators
-                                        .push((key, vec![boundary_seed(key.1); partitions].into()));
-                                    accumulators.len() - 1
-                                }
-                            };
-                            accumulator_index = Some(index);
-                            index
-                        }
-                    };
-                    let partition = verdicts.partition(position, |entry| {
-                        model.partition_of(entry, window_size, partitions) as u32
-                    });
-                    per_partition[partition].thin_boundary(&mut accumulators[index].1[partition])
-                }
-            };
-            if drop {
-                if run_len == 0 {
-                    run_start = position;
-                }
-                run_len += 1;
-                dropped += 1;
-            } else if run_len > 0 {
-                drops.push_run(run_start, run_len);
-                run_len = 0;
-            }
-        }
-        if run_len > 0 {
-            drops.push_run(run_start, run_len);
-        }
-        stats.drops += dropped as u64;
-        dropped
-    }
-
-    fn window_closed(&mut self, meta: &WindowMeta, _size: usize) {
-        if let Some(active) = self.active.as_mut() {
-            active.release((meta.query, meta.id));
-        }
     }
 }
 
@@ -418,16 +167,16 @@ fn gspice_table(model: &UtilityModel) -> UtilityTable {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HspiceShedder {
-    inner: TableShedder,
+    inner: EspiceShedder,
 }
 
 impl HspiceShedder {
     /// Derives this operator's state-aware utility table from the shared
     /// statistics and `pattern` (the operator's own pattern), and wraps it
-    /// in the table-compiled decision core. Starts inactive.
+    /// in the eSPICE decision core. Starts inactive.
     pub fn new(shared: SharedUtilityStats, pattern: &Pattern) -> Self {
         let table = hspice_table(shared.model(), pattern);
-        HspiceShedder { inner: TableShedder::new(shared, table) }
+        HspiceShedder { inner: EspiceShedder::over(shared, Some(table)) }
     }
 
     /// Applies a drop command (an inactive plan deactivates the shedder).
@@ -459,7 +208,7 @@ impl HspiceShedder {
     /// The derived per-operator utility of `ty` at `bin` (inspection /
     /// experiments).
     pub fn derived_utility(&self, ty: EventType, bin: usize) -> u8 {
-        self.inner.table.utility(ty, bin)
+        self.inner.utilities().utility(ty, bin)
     }
 }
 
@@ -508,16 +257,16 @@ impl WindowEventDecider for HspiceShedder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GspiceShedder {
-    inner: TableShedder,
+    inner: EspiceShedder,
 }
 
 impl GspiceShedder {
     /// Derives the shrunken model-based utility table from the shared
-    /// statistics and wraps it in the table-compiled decision core.
+    /// statistics and wraps it in the eSPICE decision core.
     /// Starts inactive.
     pub fn new(shared: SharedUtilityStats) -> Self {
         let table = gspice_table(shared.model());
-        GspiceShedder { inner: TableShedder::new(shared, table) }
+        GspiceShedder { inner: EspiceShedder::over(shared, Some(table)) }
     }
 
     /// Applies a drop command (an inactive plan deactivates the shedder).
@@ -549,7 +298,7 @@ impl GspiceShedder {
     /// The derived (shrunken) utility of `ty` at `bin` (inspection /
     /// experiments).
     pub fn derived_utility(&self, ty: EventType, bin: usize) -> u8 {
-        self.inner.table.utility(ty, bin)
+        self.inner.utilities().utility(ty, bin)
     }
 }
 

@@ -27,6 +27,18 @@ fn bin_range(config: &ModelConfig, position: usize, window_size: usize) -> Range
     start_bin..end_bin
 }
 
+/// The utility a utility-table row assigns to a range of bins: the cell's
+/// value for a single bin, the average over the covered cells when scaling
+/// up (paper §3.6). Bins past the row's end count as utility 0.
+pub(crate) fn utility_over(row: &[u8], bins: Range<usize>) -> u8 {
+    let len = bins.len();
+    if len == 1 {
+        return row.get(bins.start).copied().unwrap_or(0);
+    }
+    let sum: u32 = bins.map(|bin| row.get(bin).copied().unwrap_or(0) as u32).sum();
+    (sum / len as u32) as u8
+}
+
 /// The utility table `UT(T, P)`: for every event type and (binned) window
 /// position, the probability — scaled to an integer in `[0, 100]` — that an
 /// event of that type at that position contributes to a complex event.
@@ -249,13 +261,13 @@ impl UtilityModel {
     /// [`utility`](Self::utility) against a prefetched utility row, skipping
     /// the per-lookup type indexing.
     pub fn utility_in_row(&self, row: &[u8], position: usize, window_size: usize) -> u8 {
-        let range = bin_range(&self.config, position, window_size);
-        let len = range.len();
-        if len == 1 {
-            return row.get(range.start).copied().unwrap_or(0);
-        }
-        let sum: u32 = range.map(|bin| row.get(bin).copied().unwrap_or(0) as u32).sum();
-        (sum / len as u32) as u8
+        utility_over(row, self.bin_range(position, window_size))
+    }
+
+    /// The model bins raw window position `position` covers in a window of
+    /// (predicted) size `window_size` (see [`utility`](Self::utility)).
+    pub(crate) fn bin_range(&self, position: usize, window_size: usize) -> Range<usize> {
+        bin_range(&self.config, position, window_size)
     }
 
     /// The `CDT` over the whole window (a single partition).
@@ -269,18 +281,7 @@ impl UtilityModel {
     ///
     /// Panics if `partitions` is 0.
     pub fn cdt_partitions(&self, partitions: usize) -> Vec<Cdt> {
-        assert!(partitions >= 1, "need at least one partition");
-        let bins = self.config.bins();
-        (0..partitions)
-            .map(|p| {
-                // With more partitions than bins some partitions own no bin at
-                // all; their (empty) CDT is never consulted because
-                // `partition_of` only maps to partitions that own bins.
-                let start = p * bins / partitions;
-                let end = (((p + 1) * bins / partitions).min(bins)).max(start);
-                Cdt::from_model_range(&self.ut, &self.shares, start..end)
-            })
-            .collect()
+        Cdt::partitions(&self.ut, &self.shares, partitions)
     }
 
     /// The partition index (out of `partitions`) of an event at raw window

@@ -604,6 +604,147 @@ proptest! {
     }
 }
 
+/// One of the three table-compiled shedders, so one operation sequence can
+/// drive any of them.
+#[derive(Clone)]
+enum Compiled {
+    Espice(EspiceShedder),
+    Hspice(crate::HspiceShedder),
+    Gspice(crate::GspiceShedder),
+}
+
+impl Compiled {
+    fn decider(&mut self) -> &mut dyn WindowEventDecider {
+        match self {
+            Compiled::Espice(shedder) => shedder,
+            Compiled::Hspice(shedder) => shedder,
+            Compiled::Gspice(shedder) => shedder,
+        }
+    }
+
+    fn apply(&mut self, plan: ShedPlan) {
+        match self {
+            Compiled::Espice(shedder) => shedder.apply(plan),
+            Compiled::Hspice(shedder) => shedder.apply(plan),
+            Compiled::Gspice(shedder) => shedder.apply(plan),
+        }
+    }
+
+    fn deactivate(&mut self) {
+        match self {
+            Compiled::Espice(shedder) => shedder.deactivate(),
+            Compiled::Hspice(shedder) => shedder.deactivate(),
+            Compiled::Gspice(shedder) => shedder.deactivate(),
+        }
+    }
+
+    /// hSPICE and gSPICE are built over one model for life; only eSPICE
+    /// swaps.
+    fn set_model(&mut self, model: &crate::UtilityModel) {
+        if let Compiled::Espice(shedder) = self {
+            shedder.set_model(model.clone());
+        }
+    }
+
+    fn observed(&self) -> (crate::ShedderStats, Vec<Option<u8>>) {
+        match self {
+            Compiled::Espice(shedder) => (*shedder.stats(), shedder.thresholds()),
+            Compiled::Hspice(shedder) => (*shedder.stats(), shedder.thresholds()),
+            Compiled::Gspice(shedder) => (*shedder.stats(), shedder.thresholds()),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The plan caches are invisible: over random sequences of `apply`
+    /// (drop amount and ρ ∈ {1, 2, 5} varying), `deactivate`, `set_model`,
+    /// `window_closed` and `decide_span` / `decide` / `decide_batch`, a
+    /// shedder that keeps its partition CDTs and verdict tables from call
+    /// to call answers exactly like one whose caches are rebuilt cold
+    /// before every call (a `clone()` starts cold) — decisions, drop sets,
+    /// counters and thresholds, for eSPICE, hSPICE and gSPICE.
+    #[test]
+    fn warm_plan_caches_answer_like_cold_ones(
+        window in prop::collection::vec(0u32..6, 8..24),
+        contributing in prop::collection::vec(0usize..24, 1..6),
+        backend in 0usize..3,
+        ops in prop::collection::vec(
+            (0u8..10, 0.0f64..1.2, prop::sample::select(vec![1usize, 2, 5]), 0usize..30, 1usize..12),
+            10..60,
+        ),
+    ) {
+        let positions = window.len();
+        let models = [
+            model_from(&window, &contributing),
+            model_from(&window, &contributing.iter().map(|c| c + 1).collect::<Vec<_>>()),
+        ];
+        let shared = crate::SharedUtilityStats::new(models[0].clone());
+        let pattern = Pattern::sequence([EventType::from_index(0), EventType::from_index(0), EventType::from_index(1)]);
+        let mut warm = match backend {
+            0 => Compiled::Espice(EspiceShedder::new(models[0].clone())),
+            1 => Compiled::Hspice(crate::HspiceShedder::new(shared, &pattern)),
+            _ => Compiled::Gspice(crate::GspiceShedder::new(shared)),
+        };
+        let mut oracle = warm.clone();
+
+        for (step, &(op, amount, partitions, start, len)) in ops.iter().enumerate() {
+            // Four windows stay open across calls, each with its own
+            // predicted size (scaled down, exact, exact, scaled up), so
+            // boundary accumulators and several size tables are live.
+            let id = (start % 4) as u64;
+            let predicted_size = [positions / 2, positions, positions, positions * 2][id as usize];
+            let meta = WindowMeta { id, query: 0, opened_at: Timestamp::ZERO, open_seq: 0, predicted_size };
+            // Type 7 is outside the trained universe (the shared row).
+            let events: Vec<Event> = (start..start + len)
+                .map(|p| {
+                    let ty = if p % 11 == 10 { 7 } else { window[p % positions] };
+                    Event::new(EventType::from_index(ty), Timestamp::ZERO, p as u64)
+                })
+                .collect();
+
+            let mut cold = oracle.clone();
+            let mut answers = Vec::new();
+            for shedder in [&mut warm, &mut cold] {
+                let mut drops = espice_cep::DropSet::new();
+                let mut decisions = Vec::new();
+                match op {
+                    0..=2 => {
+                        let partition_size = positions.div_ceil(partitions);
+                        shedder.apply(ShedPlan {
+                            active: true,
+                            partitions,
+                            partition_size,
+                            events_to_drop: amount * partition_size as f64,
+                        });
+                    }
+                    3 => shedder.deactivate(),
+                    4 => shedder.set_model(&models[step % 2]),
+                    5 => shedder.decider().window_closed(&meta, start + len),
+                    6 | 7 => {
+                        let dropped = shedder.decider().decide_span(&meta, start, &events, &mut drops);
+                        prop_assert_eq!(dropped, drops.len());
+                    }
+                    8 => decisions.push(shedder.decider().decide(&meta, start, &events[0])),
+                    _ => {
+                        let requests: Vec<espice_cep::BatchRequest> = (0..4u64)
+                            .map(|id| espice_cep::BatchRequest {
+                                meta: WindowMeta { id, ..meta },
+                                position: start + id as usize,
+                            })
+                            .collect();
+                        shedder.decider().decide_batch(&events[0], &requests, &mut decisions);
+                    }
+                }
+                answers.push((drops.iter().collect::<Vec<_>>(), decisions, shedder.observed()));
+            }
+            prop_assert_eq!(&answers[0], &answers[1], "diverged at step {} (op {})", step, op);
+            oracle = cold;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

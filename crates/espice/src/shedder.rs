@@ -5,9 +5,15 @@
 //! O(1) decision for every (event, window) pair: look up the event's utility
 //! `UT(T, P)` and drop the event from the window if the utility is less than
 //! or equal to the threshold of the partition the position falls into.
+//!
+//! [`EspiceShedder`] is also the decision core of the table-compiled family
+//! backends ([`crate::HspiceShedder`], [`crate::GspiceShedder`]): they wrap
+//! one built over a *derived* utility table, so plan state, threshold math,
+//! boundary thinning and the compiled span kernel exist once.
 
-use crate::compiled::{CompiledVerdicts, Verdict};
-use crate::{Cdt, ShedPlan, UtilityModel};
+use crate::compiled::{Cell, CompiledVerdicts, Verdict};
+use crate::model::utility_over;
+use crate::{Cdt, SharedUtilityStats, ShedPlan, UtilityModel, UtilityTable};
 use espice_cep::{
     BatchRequest, Decision, DropSet, QueryId, WindowEventDecider, WindowId, WindowMeta,
 };
@@ -46,45 +52,42 @@ impl ShedderStats {
 
 /// Per-partition shedding state (immutable once a plan is applied; the
 /// mutable boundary accumulators live per *window* in [`ActiveShedding`]).
-/// Crate-visible so the family backends ([`crate::HspiceShedder`],
-/// [`crate::GspiceShedder`]) reuse the exact classification and thinning
-/// machinery against their own derived utility tables.
-#[derive(Debug, Clone)]
-pub(crate) struct PartitionShedding {
+#[derive(Debug, Clone, Copy)]
+struct PartitionShedding {
     /// Utility threshold `u_th(part)`: events with utility strictly below the
     /// threshold are always dropped. `None` means "drop nothing".
-    pub(crate) threshold: Option<u8>,
+    threshold: Option<u8>,
     /// Fraction of the events *at* the threshold utility that must also be
     /// dropped so the expected number of drops matches the requested amount
     /// exactly instead of overshooting (Algorithm 2 drops "at least x" events;
     /// with coarse utility distributions — many cells sharing the same value —
     /// that overshoot can be large, so the boundary level is thinned
-    /// deterministically).
+    /// deterministically). Read at decision time, never compiled into the
+    /// verdict tables, so a re-plan that only moves it keeps every table.
     boundary_fraction: f64,
 }
 
 impl PartitionShedding {
-    /// Threshold-only classification: `Some(drop?)` when the utility is
-    /// strictly below or above the threshold, `None` when it sits exactly on
-    /// the boundary and [`thin_boundary`](Self::thin_boundary) must decide.
-    /// Split from the thinning so the hot path only touches the per-window
-    /// accumulator map in the rare boundary case.
+    /// Threshold-only classification: keep or drop when the utility is
+    /// strictly above or below the threshold, [`Verdict::Boundary`] when it
+    /// sits exactly on it and [`thin_boundary`](Self::thin_boundary) must
+    /// decide. This is what the verdict tables store.
     #[inline]
-    pub(crate) fn classify(&self, utility: u8) -> Option<bool> {
+    fn verdict(&self, utility: u8) -> Verdict {
         match self.threshold {
-            None => Some(false),
-            Some(threshold) if utility < threshold => Some(true),
-            Some(threshold) if utility == threshold => None,
-            Some(_) => Some(false),
+            Some(threshold) if utility < threshold => Verdict::Drop,
+            Some(threshold) if utility == threshold => Verdict::Boundary,
+            _ => Verdict::Keep,
         }
     }
 
     /// Deterministic thinning of the boundary utility level so the expected
     /// drops per partition match the requested amount: advances the window's
     /// boundary accumulator and drops when it crosses 1. Shared by the
-    /// scalar and the batched decision paths so the two are
+    /// scalar and the span decision paths so the two are
     /// decision-for-decision identical.
-    pub(crate) fn thin_boundary(&self, accumulator: &mut f64) -> bool {
+    #[inline]
+    fn thin_boundary(&self, accumulator: &mut f64) -> bool {
         *accumulator += self.boundary_fraction;
         if *accumulator >= 1.0 - 1e-9 {
             *accumulator -= 1.0;
@@ -94,6 +97,10 @@ impl PartitionShedding {
         }
     }
 }
+
+/// Engine-wide window key: window ids are only unique within a query, so
+/// per-window shedder state is keyed by the `(query, window id)` pair.
+type WindowKey = (QueryId, WindowId);
 
 /// The boundary-thinning accumulator's starting phase for a window.
 ///
@@ -109,68 +116,73 @@ impl PartitionShedding {
 /// staggered the thinning across overlapping windows so nearly every window
 /// lost a *different* event, which measurably worsened false negatives on
 /// the soccer man-marking workload.)
-/// Engine-wide window key: window ids are only unique within a query, so
-/// per-window shedder state is keyed by the `(query, window id)` pair.
-pub(crate) type WindowKey = (QueryId, WindowId);
-
-pub(crate) fn boundary_seed(id: WindowId) -> f64 {
+fn boundary_seed(id: WindowId) -> f64 {
     let _ = id;
     0.5
 }
 
+/// One boundary accumulator per partition per *open* window, created lazily
+/// on the window's first boundary-level decision (decisions strictly above
+/// or below the threshold never touch this) and released by
+/// [`WindowEventDecider::window_closed`]. A linear-scan association list
+/// rather than a hash map: live entries are bounded by the number of
+/// concurrently open windows that hit the boundary level (tens, not
+/// thousands), and a short id scan beats hashing on that scale.
+type Accumulators = Vec<(WindowKey, Box<[f64]>)>;
+
+/// The index of window `key`'s entry in `accumulators`, seeding the entry on
+/// first contact.
+fn accumulator_slot(accumulators: &mut Accumulators, partitions: usize, key: WindowKey) -> usize {
+    accumulators.iter().position(|(window, _)| *window == key).unwrap_or_else(|| {
+        accumulators.push((key, vec![boundary_seed(key.1); partitions].into()));
+        accumulators.len() - 1
+    })
+}
+
 /// The currently active shedding state: per-partition thresholds plus the
-/// per-window boundary accumulators. Shared with the family backends in
-/// [`crate::family`], which drive it from derived utility tables.
+/// per-window boundary accumulators.
 #[derive(Debug, Clone)]
-pub(crate) struct ActiveShedding {
-    pub(crate) partitions: usize,
-    pub(crate) per_partition: Vec<PartitionShedding>,
-    /// One boundary accumulator per partition per *open* window, created
-    /// lazily on the window's first boundary-level decision (decisions
-    /// strictly above or below the threshold never touch this) and released
-    /// by [`WindowEventDecider::window_closed`]. A linear-scan association
-    /// list rather than a hash map: live entries are bounded by the number
-    /// of concurrently open windows that hit the boundary level (tens, not
-    /// thousands), and a short id scan beats hashing on that scale.
-    pub(crate) accumulators: Vec<(WindowKey, Box<[f64]>)>,
+struct ActiveShedding {
+    partitions: usize,
+    per_partition: Vec<PartitionShedding>,
+    accumulators: Accumulators,
 }
 
 impl ActiveShedding {
-    /// The accumulators of window `id`, seeding them on first contact.
-    pub(crate) fn accumulators_for(
-        accumulators: &mut Vec<(WindowKey, Box<[f64]>)>,
-        partitions: usize,
-        key: WindowKey,
-    ) -> &mut [f64] {
-        match accumulators.iter().position(|(window, _)| *window == key) {
-            Some(index) => &mut accumulators[index].1,
-            None => {
-                accumulators.push((key, vec![boundary_seed(key.1); partitions].into()));
-                &mut accumulators.last_mut().expect("just pushed").1
+    /// The scalar decision of Algorithm 2 for the event whose utility-table
+    /// row is `row`, at `position` of the window described by `meta`.
+    fn drops(
+        &mut self,
+        model: &UtilityModel,
+        row: &[u8],
+        meta: &WindowMeta,
+        position: usize,
+    ) -> bool {
+        let window_size = meta.predicted_size.max(1);
+        let utility = model.utility_in_row(row, position, window_size);
+        let partition = model.partition_of(position, window_size, self.partitions);
+        let part = self.per_partition[partition];
+        match part.verdict(utility) {
+            Verdict::Keep => false,
+            Verdict::Drop => true,
+            Verdict::Boundary => {
+                let key = (meta.query, meta.id);
+                let slot = accumulator_slot(&mut self.accumulators, self.partitions, key);
+                part.thin_boundary(&mut self.accumulators[slot].1[partition])
             }
-        }
-    }
-
-    /// Releases the accumulators of window `key = (query, id)` (no-op if
-    /// it never hit the boundary level).
-    pub(crate) fn release(&mut self, key: WindowKey) {
-        if let Some(index) = self.accumulators.iter().position(|(window, _)| *window == key) {
-            self.accumulators.swap_remove(index);
         }
     }
 }
 
 /// Per-partition thresholds for a plan asking to drop `events_to_drop` out
 /// of every `partition_size` events, computed against the given partition
-/// `CDT`s (`getUtilityThresholdForEachPartition` in Algorithm 2, factored
-/// out of [`EspiceShedder`] so the family backends compute thresholds for
-/// CDTs built from their *derived* utility tables with the same math).
+/// `CDT`s (`getUtilityThresholdForEachPartition` in Algorithm 2).
 ///
 /// The drop amount is interpreted as a *fraction* (`x / psize`) and scaled
 /// by each partition's own expected event mass, so the thresholds stay
 /// correct even when the window size the plan was computed for differs
 /// from the model's position count (variable-size windows).
-pub(crate) fn partition_thresholds(
+fn partition_thresholds(
     cdts: &[Cdt],
     events_to_drop: f64,
     partition_size: usize,
@@ -197,6 +209,16 @@ pub(crate) fn partition_thresholds(
         .collect()
 }
 
+/// The utility table decisions read: the derived one if there is one, the
+/// model's otherwise. (A function of the two fields so the decision paths can
+/// hold it beside the mutable plan state.)
+fn utilities<'a>(
+    shared: &'a SharedUtilityStats,
+    derived: &'a Option<UtilityTable>,
+) -> &'a UtilityTable {
+    derived.as_ref().unwrap_or_else(|| shared.model().utility_table())
+}
+
 /// eSPICE's probabilistic load shedder.
 ///
 /// # Example
@@ -214,14 +236,19 @@ pub(crate) fn partition_thresholds(
 /// ```
 #[derive(Debug, Clone)]
 pub struct EspiceShedder {
-    model: UtilityModel,
+    /// The model: position scaling, bin mapping, partitioning, position
+    /// shares and — unless `derived` is set — the utilities.
+    shared: SharedUtilityStats,
+    /// A family backend's derived utility table (same bins as the model's),
+    /// read in place of the trained one.
+    derived: Option<UtilityTable>,
     active: Option<ActiveShedding>,
     /// The most recently applied plan, reused when the model is swapped after
     /// retraining.
     last_plan: Option<ShedPlan>,
-    /// Compiled verdict tables for the span kernel — derived from the model
-    /// and active plan, invalidated on every plan/model change, cloned cold
-    /// (see [`CompiledVerdicts`]).
+    /// Partition `CDT`s and compiled verdict tables — derived from the model
+    /// and the plan's thresholds, cloned cold (see [`CompiledVerdicts`] for
+    /// what survives a re-plan).
     compiled: CompiledVerdicts,
     stats: ShedderStats,
 }
@@ -230,8 +257,18 @@ impl EspiceShedder {
     /// Creates a shedder that uses `model` for its utility lookups. The
     /// shedder starts inactive (keeps everything).
     pub fn new(model: UtilityModel) -> Self {
+        Self::over(SharedUtilityStats::new(model), None)
+    }
+
+    /// A shedder over the shared model that reads its utilities from
+    /// `derived` when given (the hSPICE/gSPICE backends).
+    pub(crate) fn over(shared: SharedUtilityStats, derived: Option<UtilityTable>) -> Self {
+        debug_assert!(derived
+            .as_ref()
+            .is_none_or(|table| table.bins() == shared.model().utility_table().bins()));
         EspiceShedder {
-            model,
+            shared,
+            derived,
             active: None,
             last_plan: None,
             compiled: CompiledVerdicts::new(),
@@ -241,7 +278,12 @@ impl EspiceShedder {
 
     /// The model the shedder currently uses.
     pub fn model(&self) -> &UtilityModel {
-        &self.model
+        self.shared.model()
+    }
+
+    /// The utility table decisions read.
+    pub(crate) fn utilities(&self) -> &UtilityTable {
+        utilities(&self.shared, &self.derived)
     }
 
     /// Replaces the model (after retraining) while keeping the current
@@ -252,8 +294,9 @@ impl EspiceShedder {
     /// which windows are open, so re-seeding every open window's thinning
     /// phase would skew the realised drop counts at every swap.
     pub fn set_model(&mut self, model: UtilityModel) {
-        self.model = model;
-        self.compiled.invalidate();
+        debug_assert!(self.derived.is_none(), "a derived table belongs to the model it came from");
+        self.shared = SharedUtilityStats::new(model);
+        self.compiled.invalidate_model();
         if self.active.is_some() {
             if let Some(plan) = self.last_plan {
                 self.apply(plan);
@@ -291,26 +334,14 @@ impl EspiceShedder {
             .unwrap_or_default()
     }
 
-    /// Computes per-partition thresholds for a plan asking to drop
-    /// `events_to_drop` out of every `partition_size` events.
-    ///
-    /// The drop amount is interpreted as a *fraction* (`x / psize`) and scaled
-    /// by each partition's own expected event mass, so the thresholds stay
-    /// correct even when the window size the plan was computed for differs
-    /// from the model's position count (variable-size windows).
-    fn thresholds_for(
-        &self,
-        partitions: usize,
-        events_to_drop: f64,
-        partition_size: usize,
-    ) -> Vec<PartitionShedding> {
-        partition_thresholds(&self.model.cdt_partitions(partitions), events_to_drop, partition_size)
-    }
-
     /// Applies a drop command from the overload detector: computes the utility
     /// threshold for every partition (`getUtilityThresholdForEachPartition` in
     /// Algorithm 2) and activates shedding. An inactive plan deactivates the
     /// shedder.
+    ///
+    /// The controller re-plans on every queue check, so this costs O(ρ · 101):
+    /// the partition `CDT`s are cached per (model, ρ), and the compiled
+    /// verdict tables survive unless a threshold actually moved.
     pub fn apply(&mut self, plan: ShedPlan) {
         if !plan.active || plan.events_to_drop <= 0.0 {
             self.deactivate();
@@ -318,10 +349,14 @@ impl EspiceShedder {
         }
         self.last_plan = Some(plan);
         self.stats.plans_applied += 1;
-        self.compiled.invalidate();
         let partitions = plan.partitions.max(1);
-        let per_partition =
-            self.thresholds_for(partitions, plan.events_to_drop, plan.partition_size);
+        let model = self.shared.model();
+        let utilities = utilities(&self.shared, &self.derived);
+        let cdts = self
+            .compiled
+            .cdts(partitions, || Cdt::partitions(utilities, model.position_shares(), partitions));
+        let per_partition = partition_thresholds(cdts, plan.events_to_drop, plan.partition_size);
+        self.compiled.set_thresholds(per_partition.iter().map(|part| part.threshold));
         // Open windows keep their boundary accumulators across a re-plan
         // with the same partition count (most importantly the model swap
         // after retraining, which re-applies the current plan): the
@@ -336,10 +371,11 @@ impl EspiceShedder {
         self.active = Some(ActiveShedding { partitions, per_partition, accumulators });
     }
 
-    /// Stops shedding; every subsequent decision keeps the event.
+    /// Stops shedding; every subsequent decision keeps the event. The
+    /// compiled tables stay: re-activating with the same thresholds reuses
+    /// them.
     pub fn deactivate(&mut self) {
         self.active = None;
-        self.compiled.invalidate();
     }
 }
 
@@ -349,19 +385,9 @@ impl WindowEventDecider for EspiceShedder {
         let Some(active) = self.active.as_mut() else {
             return Decision::Keep;
         };
-        let window_size = meta.predicted_size.max(1);
-        let utility = self.model.utility(event.event_type(), position, window_size);
-        let partition = self.model.partition_of(position, window_size, active.partitions);
-        let part = &active.per_partition[partition];
-        let drop = part.classify(utility).unwrap_or_else(|| {
-            let accumulators = ActiveShedding::accumulators_for(
-                &mut active.accumulators,
-                active.partitions,
-                (meta.query, meta.id),
-            );
-            part.thin_boundary(&mut accumulators[partition])
-        });
-        if drop {
+        let model = self.shared.model();
+        let utilities = utilities(&self.shared, &self.derived);
+        if active.drops(model, utilities.row(event.event_type()), meta, position) {
             self.stats.drops += 1;
             Decision::Drop
         } else {
@@ -370,9 +396,8 @@ impl WindowEventDecider for EspiceShedder {
     }
 
     /// Batched fast path (Algorithm 2 over a whole assignment batch): the
-    /// event's utility-table row is fetched once and the active-plan borrow,
-    /// decision counting and per-decision type indexing are hoisted out of
-    /// the per-window loop. Produces exactly the decisions the scalar
+    /// event's utility-table row is fetched once for all the windows the
+    /// event belongs to. Produces exactly the decisions the scalar
     /// [`decide`](WindowEventDecider::decide) would, in the same order.
     fn decide_batch(
         &mut self,
@@ -386,33 +411,17 @@ impl WindowEventDecider for EspiceShedder {
             decisions.resize(requests.len(), Decision::Keep);
             return;
         };
-        decisions.reserve(requests.len());
-        let partitions = active.partitions;
-        let row = self.model.utility_row(event.event_type());
-        let mut drops = 0u64;
-        for request in requests {
-            let window_size = request.meta.predicted_size.max(1);
-            let utility = self.model.utility_in_row(row, request.position, window_size);
-            let partition = self.model.partition_of(request.position, window_size, partitions);
-            let part = &active.per_partition[partition];
-            let drop = part.classify(utility).unwrap_or_else(|| {
-                // Rare path: utility sits exactly on the threshold, so the
-                // window's boundary accumulator decides.
-                let accumulators = ActiveShedding::accumulators_for(
-                    &mut active.accumulators,
-                    partitions,
-                    (request.meta.query, request.meta.id),
-                );
-                part.thin_boundary(&mut accumulators[partition])
-            });
-            if drop {
-                drops += 1;
-                decisions.push(Decision::Drop);
+        let model = self.shared.model();
+        let utilities = utilities(&self.shared, &self.derived);
+        let row = utilities.row(event.event_type());
+        decisions.extend(requests.iter().map(|request| {
+            if active.drops(model, row, &request.meta, request.position) {
+                self.stats.drops += 1;
+                Decision::Drop
             } else {
-                decisions.push(Decision::Keep);
+                Decision::Keep
             }
-        }
-        self.stats.drops += drops;
+        }));
     }
 
     /// Span kernel: a straight-line walk of the compiled verdict table.
@@ -420,10 +429,10 @@ impl WindowEventDecider for EspiceShedder {
     /// The span's events occupy consecutive positions of one window, so
     /// after the (lazy, once-per-type) row compilation each decision is a
     /// single shift-and-mask load; drops are accumulated as monotone runs
-    /// and appended via [`DropSet::push_run`]. Only the rare `Boundary`
-    /// verdict falls back to the stateful per-window thinning accumulator —
-    /// the same accumulator the scalar [`decide`] advances, so the two
-    /// paths stay decision-for-decision identical.
+    /// and appended via [`DropSet::push_run`]. A `Boundary` verdict — the
+    /// common one wherever most cells share the threshold utility — advances
+    /// the same per-window thinning accumulator the scalar [`decide`]
+    /// advances, so the two paths stay decision-for-decision identical.
     ///
     /// [`decide`]: WindowEventDecider::decide
     fn decide_span(
@@ -433,65 +442,59 @@ impl WindowEventDecider for EspiceShedder {
         events: &[Event],
         drops: &mut DropSet,
     ) -> usize {
-        let EspiceShedder { model, active, compiled, stats, .. } = self;
+        let EspiceShedder { shared, derived, active, compiled, stats, .. } = self;
         stats.decisions += events.len() as u64;
         let Some(active) = active.as_mut() else {
             return 0;
         };
+        let model = shared.model();
+        let utilities = utilities(shared, derived);
         let window_size = meta.predicted_size.max(1);
         let partitions = active.partitions;
         let per_partition = &active.per_partition;
         let accumulators = &mut active.accumulators;
-        let table = compiled.table_for(window_size, model.utility_table().num_types());
-        // The whole span belongs to one window, so the boundary path's
-        // per-window accumulator entry is resolved at most once per call
+        let table = compiled.table_for(window_size, utilities.num_types(), |position| Cell {
+            bins: model.bin_range(position, window_size),
+            partition: model.partition_of(position, window_size, partitions),
+        });
+        // The boundary path's state. The whole span belongs to one window,
+        // so its accumulator entry is resolved at most once per call
         // (lazily, so windows that never hit the boundary level still never
-        // allocate one) instead of scanned per decision.
-        let key = (meta.query, meta.id);
-        let mut accumulator_index: Option<usize> = None;
+        // allocate one), and the accumulator of the partition being walked
+        // runs in a local that is stored back when the walk leaves the
+        // partition.
+        let mut slot = usize::MAX;
+        let mut walking = usize::MAX;
+        let mut running = 0.0;
         let mut dropped = 0usize;
         let mut run_start = 0usize;
         let mut run_len = 0usize;
         for (offset, event) in events.iter().enumerate() {
             let position = start_position + offset;
-            let verdict = table.verdict(event.event_type(), position, |entry| {
-                // Row compilation (first event of this type for this window
-                // size): fold utility lookup, bin mapping, partition mapping
-                // and threshold classification into the stored verdict.
-                let utility = model.utility(event.event_type(), entry, window_size);
-                let partition = model.partition_of(entry, window_size, partitions);
-                match per_partition[partition].classify(utility) {
-                    Some(true) => Verdict::Drop,
-                    Some(false) => Verdict::Keep,
-                    None => Verdict::Boundary,
-                }
+            let ty = event.event_type();
+            // Row compilation (first event of this type for this window
+            // size since a threshold last moved): fold utility lookup and
+            // threshold classification into the stored verdict.
+            let verdict = table.verdict(ty, position, |cell| {
+                per_partition[cell.partition]
+                    .verdict(utility_over(utilities.row(ty), cell.bins.clone()))
             });
             let drop = match verdict {
                 Verdict::Keep => false,
                 Verdict::Drop => true,
                 Verdict::Boundary => {
-                    let index = match accumulator_index {
-                        Some(index) => index,
-                        None => {
-                            let index = match accumulators
-                                .iter()
-                                .position(|(window, _)| *window == key)
-                            {
-                                Some(index) => index,
-                                None => {
-                                    accumulators
-                                        .push((key, vec![boundary_seed(key.1); partitions].into()));
-                                    accumulators.len() - 1
-                                }
-                            };
-                            accumulator_index = Some(index);
-                            index
+                    let partition = if partitions == 1 { 0 } else { table.partition(position) };
+                    if partition != walking {
+                        if walking == usize::MAX {
+                            slot =
+                                accumulator_slot(accumulators, partitions, (meta.query, meta.id));
+                        } else {
+                            accumulators[slot].1[walking] = running;
                         }
-                    };
-                    let partition = table.partition(position, |entry| {
-                        model.partition_of(entry, window_size, partitions) as u32
-                    });
-                    per_partition[partition].thin_boundary(&mut accumulators[index].1[partition])
+                        walking = partition;
+                        running = accumulators[slot].1[partition];
+                    }
+                    per_partition[partition].thin_boundary(&mut running)
                 }
             };
             if drop {
@@ -505,6 +508,9 @@ impl WindowEventDecider for EspiceShedder {
                 run_len = 0;
             }
         }
+        if walking != usize::MAX {
+            accumulators[slot].1[walking] = running;
+        }
         if run_len > 0 {
             drops.push_run(run_start, run_len);
         }
@@ -517,7 +523,10 @@ impl WindowEventDecider for EspiceShedder {
     /// the number of concurrently open windows.
     fn window_closed(&mut self, meta: &WindowMeta, _size: usize) {
         if let Some(active) = self.active.as_mut() {
-            active.release((meta.query, meta.id));
+            let key = (meta.query, meta.id);
+            if let Some(index) = active.accumulators.iter().position(|(window, _)| *window == key) {
+                active.accumulators.swap_remove(index);
+            }
         }
     }
 }
@@ -824,6 +833,96 @@ mod tests {
         let mut drops = DropSet::new();
         assert_eq!(shedder.decide_span(&meta(4), 0, &e0, &mut drops), 1);
         assert_eq!(drops.iter().collect::<Vec<_>>(), vec![0]);
+    }
+
+    /// [`trained_model`] with the two types swapped: type 1 at position 0
+    /// and type 0 at position 1 are the valuable cells. Same utility
+    /// distribution, so any plan yields the same thresholds under both.
+    fn mirrored_model() -> UtilityModel {
+        let mut builder = ModelBuilder::new(ModelConfig::with_positions(4), 2);
+        for w in 0..10u64 {
+            let m = meta_for(w, 4);
+            for pos in 0..4usize {
+                let t = if pos % 2 == 0 { 1 } else { 0 };
+                let e = Event::new(ty(t), Timestamp::from_secs(pos as u64), pos as u64);
+                let _ = builder.decide(&m, pos, &e);
+            }
+            builder.window_closed(&m, 4);
+            builder.observe_complex(&ComplexEvent::new(
+                w,
+                Timestamp::ZERO,
+                vec![
+                    Constituent { seq: 0, event_type: ty(1), position: 0 },
+                    Constituent { seq: 1, event_type: ty(0), position: 1 },
+                ],
+            ));
+        }
+        builder.build()
+    }
+
+    /// Decides `[type 0, type 1]` at positions 0 and 1 of a fresh window
+    /// through the span kernel and returns the dropped positions.
+    fn span_drops(shedder: &mut EspiceShedder, window: u64) -> Vec<u32> {
+        let events = [Event::new(ty(0), Timestamp::ZERO, 0), Event::new(ty(1), Timestamp::ZERO, 1)];
+        let mut drops = DropSet::new();
+        let m = meta_for(window, 4);
+        shedder.decide_span(&m, 0, &events, &mut drops);
+        shedder.window_closed(&m, 2);
+        drops.iter().collect()
+    }
+
+    #[test]
+    fn set_model_between_equal_threshold_plans_recompiles_the_tables() {
+        let plan = ShedPlan { active: true, partitions: 1, partition_size: 4, events_to_drop: 2.0 };
+        let mut shedder = EspiceShedder::new(trained_model());
+        shedder.apply(plan);
+        let thresholds = shedder.thresholds();
+        // Under the trained model both cells are the valuable ones.
+        assert_eq!(span_drops(&mut shedder, 0), Vec::<u32>::new());
+        assert_eq!(shedder.compiled.built_rows(), 2);
+
+        // The swap re-applies the plan: same thresholds, but the rows
+        // compiled from the old utilities must be gone, CDTs included.
+        shedder.set_model(mirrored_model());
+        assert_eq!(shedder.thresholds(), thresholds);
+        assert_eq!(shedder.compiled.built_rows(), 0, "tables outlived the model they came from");
+        // Under the mirrored model the same two cells are worthless.
+        assert_eq!(span_drops(&mut shedder, 1), vec![0, 1]);
+        shedder.apply(plan);
+        assert_eq!(span_drops(&mut shedder, 2), vec![0, 1]);
+
+        // The cached CDTs go with the tables: an untrained model has no
+        // event mass to drop from, which only fresh CDTs can tell.
+        shedder.set_model(ModelBuilder::new(ModelConfig::with_positions(4), 2).build());
+        assert_eq!(shedder.thresholds(), vec![None]);
+        assert_eq!(span_drops(&mut shedder, 3), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn compiled_rows_survive_replans_until_a_threshold_moves() {
+        let plan = ShedPlan { active: true, partitions: 1, partition_size: 4, events_to_drop: 1.5 };
+        let mut shedder = EspiceShedder::new(trained_model());
+        shedder.apply(plan);
+        let _ = span_drops(&mut shedder, 0);
+        assert_eq!(shedder.compiled.built_rows(), 2);
+
+        // Another drop amount within the same utility level: only the
+        // boundary fraction moves, which no table holds.
+        shedder.apply(ShedPlan { events_to_drop: 1.9, ..plan });
+        assert_eq!(shedder.thresholds(), vec![Some(0)]);
+        assert_eq!(shedder.compiled.built_rows(), 2);
+
+        // Deactivation keeps them for the next activation.
+        shedder.deactivate();
+        assert_eq!(span_drops(&mut shedder, 1), Vec::<u32>::new());
+        shedder.apply(plan);
+        assert_eq!(shedder.compiled.built_rows(), 2);
+
+        // A threshold that moves clears the rows, not the tables.
+        shedder.apply(ShedPlan { events_to_drop: 100.0, ..plan });
+        assert_eq!(shedder.thresholds(), vec![Some(100)]);
+        assert_eq!(shedder.compiled.built_rows(), 0);
+        assert_eq!(span_drops(&mut shedder, 2), vec![0, 1]);
     }
 
     #[test]
